@@ -288,7 +288,11 @@ pub fn run(ctx: &Ctx) -> Result<Report, String> {
                     .max(1) as f64,
         );
         let traced: Vec<&Session> = sessions.iter().filter(|s| s.traced).collect();
-        let epoch = traced.first().map_or_else(Instant::now, |s| s.start);
+        let epoch = traced
+            .iter()
+            .map(|s| s.start)
+            .min()
+            .unwrap_or_else(Instant::now);
         let mut tracer = Tracer::new(true, epoch);
         for (i, s) in traced.iter().enumerate() {
             let root = tracer.record("bench", None, i as u64, s.start, s.status_reply);
@@ -306,7 +310,7 @@ pub fn run(ctx: &Ctx) -> Result<Report, String> {
             "self.bench_ms_per_op",
             own.get("bench").copied().unwrap_or(0.0) / n_traced,
         );
-        let half = |traced: bool| -> Option<f64> {
+        let split = |traced: bool| -> Option<f64> {
             let v: Vec<f64> = sessions
                 .iter()
                 .filter(|s| s.traced == traced)
@@ -314,7 +318,7 @@ pub fn run(ctx: &Ctx) -> Result<Report, String> {
                 .collect();
             median(&v)
         };
-        if let (Some(u), Some(t)) = (half(false), half(true)) {
+        if let (Some(u), Some(t)) = (split(false), split(true)) {
             report.layer("trace.overhead_pct", (t / u - 1.0) * 100.0);
         }
         for (name, value) in &driven.layer {
@@ -368,7 +372,6 @@ fn drive(
     let before = stats(router)?;
     let pids = fleet.pids();
     let window = Duration::from_secs_f64(ctx.seconds / FLEETS as f64);
-    let traced = ctx.trace && fleet_no >= FLEETS / 2;
     let cpu0 = total_cpu_ms(&pids);
     let start = Instant::now();
     let results: Vec<(Vec<Session>, u64, Vec<String>)> = std::thread::scope(|scope| {
@@ -384,7 +387,10 @@ fn drive(
                         let think = unit(ctx.derive(TAG_THINK, index)) * THINK_MS / 1e3;
                         std::thread::sleep(Duration::from_secs_f64(think));
                         let seed = ctx.derive(TAG_SESSION, index);
-                        let trace = traced.then(|| {
+                        // In a traced run every other session of a user is
+                        // traced, so both kinds share the fleet and the
+                        // host's spells.
+                        let trace = (ctx.trace && j % 2 == 1).then(|| {
                             TraceId::from_u128(((ctx.seed as u128) << 64) | (u128::from(index) + 1))
                         });
                         match session(router, text, fp, seed, trace) {
@@ -432,7 +438,7 @@ fn drive(
             after.counter(name).unwrap_or(0) as f64 - before.counter(name).unwrap_or(0) as f64;
         out.deltas.push((name, delta));
     }
-    if traced && fleet_no == FLEETS - 1 {
+    if ctx.trace && fleet_no == FLEETS - 1 {
         let mut client = Client::connect(router).map_err(|e| e.to_string())?;
         let trace = client
             .trace(Some(64), None, None)

@@ -7,8 +7,9 @@
 //! request shapes keep the number of rounds a request needs fixed for
 //! almost every seed (so the percentiles do not jump between one and two
 //! rounds) and keep a sweep near 0.25 s, so a 30 s run holds over 100
-//! sweeps and every p90 has ten samples beyond it. After every third sweep
-//! `s15850a_15_7` is prepared again: the in-process LOAD.
+//! sweeps and every p90 has ten samples beyond it. The window is split
+//! into segments, and every instance is parsed and prepared afresh before
+//! each one: the set-up, spread over the run as the requests are.
 
 use crate::layers::{Layers, Shape};
 use crate::spans::{self_time_ms, write_spans, Tracer};
@@ -32,15 +33,16 @@ const INSTANCES: [(&str, usize, usize); 4] = [
 /// Requests per instance in one sweep: the cheaper instances run more
 /// often, so their tail percentiles rest on more samples.
 const PER_SWEEP: [usize; 4] = [3, 3, 2, 1];
-/// The instance re-prepared in the window for `load_ms_p50`, after every
-/// `RELOAD_EVERY`-th sweep: `s15850a_15_7`, whose ~60 ms prepare is long
-/// enough to time steadily (`or` and `q` take under 2 ms, `Prod-32` 1 s).
-const RELOADED: usize = 2;
-const RELOAD_EVERY: usize = 3;
+/// The instance whose prepare time is the in-process `load_ms_p50`:
+/// `s15850a_15_7`, whose ~60 ms prepare is long enough to time steadily
+/// (`or` and `q` take under 2 ms, `Prod-32` 1 s).
+const LOADED: usize = 2;
 const THREADS: usize = 2;
-/// Set-ups per run: three before the window and two after it, so the
-/// median spans the run instead of the host's state at its start.
-const SETUP_REPS: (usize, usize) = (3, 2);
+/// Segments of the timed window. Each starts with a set-up of its own,
+/// so the median set-up spans the run instead of the host's state at its
+/// start; set-ups timed only at the ends of the run followed the host's
+/// slow and fast spells (a run-to-run spread of up to 0.32 over ten seeds).
+const SEGMENTS: usize = 7;
 /// Every this many sweeps, each request is re-run on `Backend::Sequential`
 /// after the window and its digest compared (the determinism law).
 const REFERENCE_EVERY: usize = 16;
@@ -72,144 +74,144 @@ pub fn run(ctx: &Ctx) -> Result<Report, String> {
         })
         .collect::<Result<_, _>>()?;
 
-    // Set-up: parse and prepare every instance, several times.
+    // Set-up: parse and prepare every instance. It runs before every
+    // segment, outside the timed window; each segment serves requests
+    // from the set prepared just before it.
     let mut setup_s = Vec::new();
-    let set_up = |setup_s: &mut Vec<f64>| -> Result<Vec<(Cnf, PreparedFormula)>, String> {
+    let mut load_ms = Vec::new();
+    let set_up = |setup_s: &mut Vec<f64>,
+                  load_ms: &mut Vec<f64>|
+     -> Result<Vec<(Cnf, PreparedFormula)>, String> {
         let t0 = Instant::now();
-        let prepared = texts.iter().map(|t| prepare(t)).collect::<Result<_, _>>()?;
+        let mut prepared = Vec::with_capacity(texts.len());
+        for (i, text) in texts.iter().enumerate() {
+            let t = Instant::now();
+            prepared.push(prepare(text)?);
+            if i == LOADED {
+                load_ms.push(t.elapsed().as_secs_f64() * 1e3);
+            }
+        }
         setup_s.push(t0.elapsed().as_secs_f64());
         Ok(prepared)
     };
-    let mut prepared = set_up(&mut setup_s)?;
-    for _ in 1..SETUP_REPS.0 {
-        drop(prepared);
-        prepared = set_up(&mut setup_s)?;
-    }
 
-    // The timed closed loop. In a traced run the first half runs untraced
-    // and the second traced, which gives the tracing overhead.
+    // The timed closed loop. In a traced run every other sweep is traced,
+    // so both kinds see the same host spells; comparing them gives the
+    // tracing overhead.
     let epoch = Instant::now();
     let mut tracer = Tracer::new(false, epoch);
     let n_inst = INSTANCES.len();
     let mut first_ms: Vec<Vec<f64>> = vec![Vec::new(); n_inst];
     let mut sample_ms: Vec<Vec<f64>> = vec![Vec::new(); n_inst];
     let mut rates: Vec<Vec<f64>> = vec![Vec::new(); n_inst];
-    let mut half_rates: [Vec<Vec<f64>>; 2] = [vec![Vec::new(); n_inst], vec![Vec::new(); n_inst]];
+    let mut split_rates: [Vec<Vec<f64>>; 2] = [vec![Vec::new(); n_inst], vec![Vec::new(); n_inst]];
     let mut sweep_ms = Vec::new();
     let mut to_reference = Vec::new();
     let mut layers = Layers::default();
     let mut validate_samples: Vec<Vec<Vec<bool>>> = vec![Vec::new(); n_inst];
-    // Seconds spent outside the requests (checks, in-window prepares);
-    // their CPU does not count towards `cpu_ms_per_op`.
-    let mut check_s = 0.0;
-    let mut prepare_ms = Vec::new();
+    // CPU of the timed segments, less that of the output checks inside
+    // them; set-ups run between segments and are not counted.
+    let mut cpu_ms = 0.0;
     let mut ops = 0u64;
-    let window = Duration::from_secs_f64(ctx.seconds);
-    let cpu0 = total_cpu_ms(&[]);
-    let start = Instant::now();
+    let segment = Duration::from_secs_f64(ctx.seconds / SEGMENTS as f64);
+    let mut window_s = 0.0;
     let mut sweep = 0usize;
-    while start.elapsed() < window {
-        let traced_half = ctx.trace && start.elapsed() >= window / 2;
-        tracer.set_enabled(traced_half);
-        let mut this_sweep = 0.0;
-        let requests = INSTANCES
-            .iter()
-            .enumerate()
-            .flat_map(|(i, inst)| std::iter::repeat_n((i, *inst), PER_SWEEP[i]));
-        for (k, (i, (name, batch, n))) in requests.enumerate() {
-            let (cnf, engine) = &prepared[i];
-            let req = (sweep * PER_SWEEP.iter().sum::<usize>() + k) as u64;
-            let seed = ctx.derive(TAG_REQUEST, req);
-            let config = SessionConfig {
-                seed,
-                backend: Backend::Threads(THREADS),
-                batch: Some(batch),
-            };
-            report.attempted += 1;
-            let root = tracer.open("bench", None, req);
-            let t0 = Instant::now();
-            let span = tracer.open("engine", root, req);
-            let mut stream = engine.stream(&config).map_err(|e| e.to_string())?;
-            let mut solutions = Vec::with_capacity(n);
-            let mut t_first = None;
-            while solutions.len() < n {
-                match stream.next() {
-                    Some(s) => {
-                        t_first.get_or_insert_with(Instant::now);
-                        solutions.push(s);
-                    }
-                    None => break,
-                }
-            }
-            // Unique solutions the last round found beyond `n` were paid for
-            // and are delivered too, as `SampleEngine::sample` does.
-            solutions.append(&mut stream.drain_ready());
-            let t_done = Instant::now();
-            tracer.close(span);
-            drop(stream);
-            tracer.close(root);
-
-            let ms = |t: Instant| t.duration_since(t0).as_secs_f64() * 1e3;
-            if solutions.len() < n {
-                report.failed += 1;
-                first_ms[i].push(f64::INFINITY);
-                sample_ms[i].push(f64::INFINITY);
-                this_sweep = f64::INFINITY;
-                continue;
-            }
-            ops += 1;
-            let done = ms(t_done);
-            first_ms[i].push(ms(t_first.expect("at least one solution")));
-            sample_ms[i].push(done);
-            let rate = solutions.len() as f64 / (done / 1e3);
-            rates[i].push(rate);
-            half_rates[usize::from(traced_half)][i].push(rate);
-            this_sweep += done;
-
-            // Output checks, outside the timed request.
-            let c = Instant::now();
-            let mut seen = HashSet::with_capacity(solutions.len());
-            for s in &solutions {
-                if !cnf.is_satisfied_by_bits(s) {
-                    report.fail(format!("{name} seed {seed}: a solution violates the CNF"));
-                }
-                if !seen.insert(s) {
-                    report.fail(format!("{name} seed {seed}: a solution repeats"));
-                }
-            }
-            if sweep.is_multiple_of(REFERENCE_EVERY) {
-                to_reference.push(Request {
-                    instance: i,
+    let mut prepared = Vec::new();
+    for _ in 0..SEGMENTS {
+        drop(prepared);
+        prepared = set_up(&mut setup_s, &mut load_ms)?;
+        let cpu0 = total_cpu_ms(&[]);
+        let start = Instant::now();
+        while start.elapsed() < segment {
+            let traced = ctx.trace && sweep % 2 == 1;
+            tracer.set_enabled(traced);
+            let mut this_sweep = 0.0;
+            let requests = INSTANCES
+                .iter()
+                .enumerate()
+                .flat_map(|(i, inst)| std::iter::repeat_n((i, *inst), PER_SWEEP[i]));
+            for (k, (i, (name, batch, n))) in requests.enumerate() {
+                let (cnf, engine) = &prepared[i];
+                let req = (sweep * PER_SWEEP.iter().sum::<usize>() + k) as u64;
+                let seed = ctx.derive(TAG_REQUEST, req);
+                let config = SessionConfig {
                     seed,
-                    digest: digest(&solutions),
-                    delivered: solutions.len(),
-                });
+                    backend: Backend::Threads(THREADS),
+                    batch: Some(batch),
+                };
+                report.attempted += 1;
+                let root = tracer.open("bench", None, req);
+                let t0 = Instant::now();
+                let span = tracer.open("engine", root, req);
+                let mut stream = engine.stream(&config).map_err(|e| e.to_string())?;
+                let mut solutions = Vec::with_capacity(n);
+                let mut t_first = None;
+                while solutions.len() < n {
+                    match stream.next() {
+                        Some(s) => {
+                            t_first.get_or_insert_with(Instant::now);
+                            solutions.push(s);
+                        }
+                        None => break,
+                    }
+                }
+                // Unique solutions the last round found beyond `n` were paid
+                // for and are delivered too, as `SampleEngine::sample` does.
+                solutions.append(&mut stream.drain_ready());
+                let t_done = Instant::now();
+                tracer.close(span);
+                drop(stream);
+                tracer.close(root);
+
+                let ms = |t: Instant| t.duration_since(t0).as_secs_f64() * 1e3;
+                if solutions.len() < n {
+                    report.failed += 1;
+                    first_ms[i].push(f64::INFINITY);
+                    sample_ms[i].push(f64::INFINITY);
+                    this_sweep = f64::INFINITY;
+                    continue;
+                }
+                ops += 1;
+                let done = ms(t_done);
+                first_ms[i].push(ms(t_first.expect("at least one solution")));
+                sample_ms[i].push(done);
+                let rate = solutions.len() as f64 / (done / 1e3);
+                rates[i].push(rate);
+                split_rates[usize::from(traced)][i].push(rate);
+                this_sweep += done;
+
+                // Output checks, outside the timed request; their CPU is
+                // taken out of `cpu_ms_per_op`.
+                let c = total_cpu_ms(&[]);
+                let mut seen = HashSet::with_capacity(solutions.len());
+                for s in &solutions {
+                    if !cnf.is_satisfied_by_bits(s) {
+                        report.fail(format!("{name} seed {seed}: a solution violates the CNF"));
+                    }
+                    if !seen.insert(s) {
+                        report.fail(format!("{name} seed {seed}: a solution repeats"));
+                    }
+                }
+                if sweep.is_multiple_of(REFERENCE_EVERY) {
+                    to_reference.push(Request {
+                        instance: i,
+                        seed,
+                        digest: digest(&solutions),
+                        delivered: solutions.len(),
+                    });
+                }
+                if ctx.trace && validate_samples[i].len() < 64 {
+                    validate_samples[i].extend(solutions.into_iter().take(16));
+                }
+                cpu_ms -= total_cpu_ms(&[]) - c;
             }
-            if ctx.trace && validate_samples[i].len() < 64 {
-                validate_samples[i].extend(solutions.into_iter().take(16));
-            }
-            check_s += c.elapsed().as_secs_f64();
+            sweep_ms.push(this_sweep);
+            sweep += 1;
         }
-        sweep_ms.push(this_sweep);
-        // An in-process LOAD between sweeps: parse and prepare an instance
-        // again. Spread over the window, these samples average over the
-        // host's slow and fast spells as the requests do; prepares timed
-        // only at set-up do not.
-        if sweep.is_multiple_of(RELOAD_EVERY) {
-            let t = Instant::now();
-            drop(prepare(&texts[RELOADED])?);
-            let took = t.elapsed().as_secs_f64();
-            prepare_ms.push(took * 1e3);
-            check_s += took;
-        }
-        sweep += 1;
+        window_s += start.elapsed().as_secs_f64();
+        cpu_ms += total_cpu_ms(&[]) - cpu0;
     }
-    let window_s = start.elapsed().as_secs_f64();
-    let cpu_ms = total_cpu_ms(&[]) - cpu0 - check_s * 1e3;
     let rss = peak_rss_mib(std::process::id());
-    for _ in 0..SETUP_REPS.1 {
-        drop(set_up(&mut setup_s)?);
-    }
 
     // Determinism law: the same (formula, engine, seed) on one thread
     // yields the identical sequence.
@@ -242,7 +244,7 @@ pub fn run(ctx: &Ctx) -> Result<Report, String> {
     report.tail("tail.first_ms_p90", class_quantile(&first_ms, 0.9));
     report.e2e("sample_ms_p50", class_quantile(&sample_ms, 0.5));
     report.tail("tail.sample_ms_p90", class_quantile(&sample_ms, 0.9));
-    report.tail("load_ms_p50", median(&prepare_ms));
+    report.tail("load_ms_p50", median(&load_ms));
     report.e2e("session_ms_p50", quantile(&sweep_ms, 0.5));
     report.tail("tail.session_ms_p90", quantile(&sweep_ms, 0.9));
     report.e2e("cpu_ms_per_op", Some(cpu_ms / ops.max(1) as f64));
@@ -279,11 +281,11 @@ pub fn run(ctx: &Ctx) -> Result<Report, String> {
         ] {
             report.layer(metric, own.get(layer).copied().unwrap_or(0.0) / traced_ops);
         }
-        let rate = |half: &Vec<Vec<f64>>| -> Option<f64> {
-            let medians: Option<Vec<f64>> = half.iter().map(|r| median(r)).collect();
+        let rate = |split: &Vec<Vec<f64>>| -> Option<f64> {
+            let medians: Option<Vec<f64>> = split.iter().map(|r| median(r)).collect();
             geomean(&medians?)
         };
-        if let (Some(untraced), Some(traced)) = (rate(&half_rates[0]), rate(&half_rates[1])) {
+        if let (Some(untraced), Some(traced)) = (rate(&split_rates[0]), rate(&split_rates[1])) {
             report.layer("trace.overhead_pct", (untraced / traced - 1.0) * 100.0);
         }
         let path = ctx

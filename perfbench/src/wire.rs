@@ -12,6 +12,11 @@
 //! second connection opens short direct v2 sessions (connect, HELLO,
 //! STATUS) on a schedule of their own.
 //!
+//! The window is split into segments. Between two segments, once every
+//! request of the first has finished, a spare daemon is set up (spawn,
+//! HELLO, the warm LOADs) and stopped again, so the median set-up time
+//! spans the run as the requests do.
+//!
 //! Requests are written as the schedule says, whatever is still in flight:
 //! a reader thread timestamps every frame, and latency runs from each
 //! request's due time. The blocking `htsat_serve::Client` cannot write
@@ -58,7 +63,10 @@ const BLOCK: usize = 20;
 const LOADS_PER_BLOCK: usize = 4;
 /// A LOAD event re-loads the formula of the event this many before it.
 const RELOAD_DISTANCE: usize = 5;
-const SETUP_REPS: usize = 5;
+/// Segments of the timed window; each is preceded by a set-up. A set-up's
+/// warm LOAD swings by up to 80 % from one to the next with the host's
+/// load, so the median takes many of them.
+const SEGMENTS: usize = 15;
 /// The generator may run at most this late at its 99th percentile before
 /// the run counts as invalid.
 const MAX_LATE_MS: f64 = 100.0;
@@ -75,8 +83,14 @@ enum Kind {
 
 struct Op {
     kind: Kind,
+    /// Due time, counted in the window's own time (set-up pauses between
+    /// segments excluded).
     due: Duration,
     seed: u64,
+    /// Carries a trace id: in a traced run every other arrival does.
+    traced: bool,
+    /// The instant the request was due at, once its segment has started.
+    due_at: Option<Instant>,
     sent: Option<Instant>,
     first: Option<Instant>,
     done: Option<Instant>,
@@ -135,6 +149,8 @@ fn schedule(ctx: &Ctx) -> (Vec<Op>, Vec<String>) {
             kind,
             due: Duration::from_secs_f64(due),
             seed: ctx.derive(TAG_SEED, k),
+            traced: ctx.trace && k % 2 == 1,
+            due_at: None,
             sent: None,
             first: None,
             done: None,
@@ -147,6 +163,20 @@ fn schedule(ctx: &Ctx) -> (Vec<Op>, Vec<String>) {
         k += 1;
     }
     (ops, fresh_texts)
+}
+
+/// Due times of the direct sessions on the second connection.
+fn session_schedule(ctx: &Ctx) -> Vec<f64> {
+    let seed = ctx.derive(TAG_SESSION, 0);
+    let mut dues = Vec::new();
+    let mut due = 0.0;
+    let mut k = 0u64;
+    while due < ctx.seconds {
+        dues.push(due);
+        due += (0.5 + unit(seed ^ k)) / SESSION_RATE;
+        k += 1;
+    }
+    dues
 }
 
 fn encode_line(request: &Request, id: Option<u64>, trace: Option<TraceId>) -> String {
@@ -275,25 +305,34 @@ pub fn run(ctx: &Ctx) -> Result<Report, String> {
         .collect::<Result<_, _>>()?;
     let (mut ops, fresh_texts) = schedule(ctx);
 
-    // Set-up: spawn the daemon and load the warm pair, several times; the
-    // last daemon serves the run.
+    // Set-up: spawn the daemon that serves the run and load the warm
+    // pair. Spare daemons are set up the same way between segments.
     let cache = ctx
         .work_dir
         .join(format!("wire-cache-{}", std::process::id()));
-    let mut setup_s = Vec::new();
-    let mut kept = None;
-    for _ in 0..SETUP_REPS {
-        if let Some((daemon, _)) = kept.take() {
-            Proc::stop(daemon);
-        }
-        let (daemon, secs, fps) = start_daemon(ctx, &cache, &warm_texts)?;
+    let spare_cache = ctx
+        .work_dir
+        .join(format!("wire-spare-cache-{}", std::process::id()));
+    let (daemon, secs, warm_fps) = start_daemon(ctx, &cache, &warm_texts)?;
+    let mut setup_s = vec![secs];
+    let mut spare_set_up = || -> Result<(), String> {
+        let (spare, secs, _) = start_daemon(ctx, &spare_cache, &warm_texts)?;
+        Proc::stop(spare);
         setup_s.push(secs);
-        kept = Some((daemon, fps));
-    }
-    let (daemon, warm_fps) = kept.expect("at least one set-up");
-    let result = drive(ctx, &mut report, &daemon, &warm_fps, &mut ops, &fresh_texts);
+        Ok(())
+    };
+    let result = drive(
+        ctx,
+        &mut report,
+        &daemon,
+        &warm_fps,
+        &mut ops,
+        &fresh_texts,
+        &mut spare_set_up,
+    );
     Proc::stop(daemon);
     let _ = std::fs::remove_dir_all(&cache);
+    let _ = std::fs::remove_dir_all(&spare_cache);
     let (window, stats, trace, decode) = result?;
 
     // Output checks, after the window: every solution satisfies the
@@ -375,12 +414,11 @@ pub fn run(ctx: &Ctx) -> Result<Report, String> {
     }
 
     // End-to-end metrics.
-    let ms = |from: Duration, t: Option<Instant>, base: Instant| -> f64 {
+    let ms = |from: Instant, t: Option<Instant>| -> f64 {
         t.map_or(f64::INFINITY, |t| {
-            (t.duration_since(base).as_secs_f64() - from.as_secs_f64()) * 1e3
+            t.duration_since(from).as_secs_f64() * 1e3
         })
     };
-    let base = window.start;
     let mut first: Vec<Vec<f64>> = vec![Vec::new(); WARM.len()];
     let mut done: Vec<Vec<f64>> = vec![Vec::new(); WARM.len()];
     let mut rates: Vec<Vec<f64>> = vec![Vec::new(); WARM.len()];
@@ -392,18 +430,20 @@ pub fn run(ctx: &Ctx) -> Result<Report, String> {
         if op.failed || op.done.is_none() {
             report.failed += 1;
         }
-        let sent = op.sent.expect("filtered");
-        late.push((sent.duration_since(base).as_secs_f64() - op.due.as_secs_f64()) * 1e3);
+        let (Some(sent), Some(due_at)) = (op.sent, op.due_at) else {
+            continue;
+        };
+        late.push(sent.duration_since(due_at).as_secs_f64() * 1e3);
         let ok = !op.failed;
         match op.kind {
             Kind::Sample(c) => {
                 first[c].push(if ok {
-                    ms(op.due, op.first, base)
+                    ms(due_at, op.first)
                 } else {
                     f64::INFINITY
                 });
                 done[c].push(if ok {
-                    ms(op.due, op.done, base)
+                    ms(due_at, op.done)
                 } else {
                     f64::INFINITY
                 });
@@ -415,7 +455,7 @@ pub fn run(ctx: &Ctx) -> Result<Report, String> {
             }
             Kind::Load { fresh, .. } => {
                 loads[usize::from(!fresh)].push(if ok {
-                    ms(op.due, op.done, base)
+                    ms(due_at, op.done)
                 } else {
                     f64::INFINITY
                 });
@@ -518,20 +558,24 @@ pub fn run(ctx: &Ctx) -> Result<Report, String> {
         report.layer("generator.late_ms_p99", late_p99);
 
         // Bench-side spans, rebuilt from the frame timestamps of the
-        // traced half: request root (due to done), the wire wait (sent to
-        // done), and one json span per decoded frame.
-        let mut tracer = Tracer::new(true, base);
+        // traced arrivals: request root (due to done), the wire wait (sent
+        // to done), and one json span per decoded frame.
+        let epoch = ops
+            .first()
+            .and_then(|o| o.due_at)
+            .unwrap_or_else(Instant::now);
+        let mut tracer = Tracer::new(true, epoch);
         let mut traced_ops = 0.0f64;
         for (id, op) in ops.iter().enumerate() {
-            let (Some(sent), Some(end)) = (op.sent, op.done) else {
+            let (Some(due_at), Some(sent), Some(end)) = (op.due_at, op.sent, op.done) else {
                 continue;
             };
-            if op.due.as_secs_f64() < ctx.seconds / 2.0 {
+            if !op.traced {
                 continue;
             }
             traced_ops += 1.0;
             let id = id as u64 + 1;
-            let root = tracer.record("bench", None, id, base + op.due, end);
+            let root = tracer.record("bench", None, id, due_at, end);
             let wire = tracer.record("wire", root, id, sent, end);
             for &(read, decoded) in &op.frames {
                 tracer.record("json", wire, id, read, decoded);
@@ -593,7 +637,6 @@ pub fn serve_spans(trace: &TraceReport) -> Vec<(&'static str, f64)> {
 
 /// What the timed window measured besides the per-op records.
 struct Window {
-    start: Instant,
     sessions: Vec<f64>,
     cpu_ms: f64,
     rss: Option<f64>,
@@ -602,8 +645,83 @@ struct Window {
 
 type Driven = (Window, (Snapshot, Snapshot), TraceReport, (f64, f64));
 
-/// Runs the timed window against `daemon`: the scheduled main connection
-/// and the session connection, then collects every frame still in flight.
+/// Frame decode totals: milliseconds and bytes.
+#[derive(Default)]
+struct Decode {
+    ms: f64,
+    bytes: f64,
+}
+
+/// Applies frames to their requests until `open` requests have a terminal
+/// frame, the connection closes or `deadline` passes.
+fn collect(
+    rx: &mpsc::Receiver<Event>,
+    ops: &mut [Op],
+    report: &mut Report,
+    open: &mut usize,
+    decode: &mut Decode,
+    deadline: Instant,
+) {
+    while *open > 0 {
+        let Ok(event) = rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) else {
+            break;
+        };
+        let (id, terminal) = match event {
+            Event::Closed => break,
+            Event::Chunk(id, read, decoded, solutions, bytes) => {
+                let op = &mut ops[id as usize - 1];
+                op.first.get_or_insert(decoded);
+                op.frames.push((read, decoded));
+                decode.ms += decoded.duration_since(read).as_secs_f64() * 1e3;
+                decode.bytes += bytes as f64;
+                op.solutions.extend(solutions);
+                (id, false)
+            }
+            Event::Done(id, read, decoded) | Event::Reply(id, read, decoded, _) => {
+                let op = &mut ops[id as usize - 1];
+                if let Event::Reply(_, _, _, cached) = event {
+                    op.cached = cached;
+                }
+                op.frames.push((read, decoded));
+                op.done = Some(decoded);
+                (id, true)
+            }
+            Event::Error(id, read, msg) => {
+                report.fail(format!("request {id} failed: {msg}"));
+                let op = &mut ops[id as usize - 1];
+                op.frames.push((read, read));
+                op.failed = true;
+                (id, true)
+            }
+        };
+        if terminal && id as usize <= ops.len() {
+            *open -= 1;
+        }
+    }
+}
+
+/// Runs the direct sessions due in one segment, `dues` counted from the
+/// segment's `start`; returns each session's latency from its due time.
+fn sessions(addr: &str, start: Instant, dues: &[f64]) -> Vec<f64> {
+    dues.iter()
+        .map(|&due| {
+            let at = start + Duration::from_secs_f64(due);
+            std::thread::sleep(at.saturating_duration_since(Instant::now()));
+            let result = Client::connect(addr).and_then(|mut c| {
+                c.hello()?;
+                c.status()
+            });
+            match result {
+                Ok(_) => at.elapsed().as_secs_f64() * 1e3,
+                Err(_) => f64::INFINITY,
+            }
+        })
+        .collect()
+}
+
+/// Runs the timed window against `daemon`, segment by segment: the
+/// scheduled main connection and the session connection, then every frame
+/// still in flight, then `spare_set_up` before the next segment.
 fn drive(
     ctx: &Ctx,
     report: &mut Report,
@@ -611,6 +729,7 @@ fn drive(
     warm_fps: &[Fingerprint],
     ops: &mut [Op],
     fresh_texts: &[String],
+    spare_set_up: &mut dyn FnMut() -> Result<(), String>,
 ) -> Result<Driven, String> {
     let addr = daemon.addr.as_str();
     let mut control = Client::connect(addr).map_err(|e| e.to_string())?;
@@ -639,110 +758,81 @@ fn drive(
     let (tx, rx) = mpsc::channel();
     let reader_thread = std::thread::spawn(move || reader(read_half.into_inner(), tx));
 
-    let window = Duration::from_secs_f64(ctx.seconds);
-    let cpu0 = total_cpu_ms(&[daemon.pid()]);
-    let start = Instant::now();
-    let session_addr = addr.to_string();
-    let session_seed = ctx.derive(TAG_SESSION, 0);
-    let sessions_thread = std::thread::spawn(move || {
-        let mut out = Vec::new();
-        let mut due = 0.0;
-        let mut k = 0u64;
-        while due < window.as_secs_f64() {
-            let at = start + Duration::from_secs_f64(due);
-            std::thread::sleep(at.saturating_duration_since(Instant::now()));
-            let result = Client::connect(session_addr.as_str()).and_then(|mut c| {
-                c.hello()?;
-                c.status()
-            });
-            out.push(match result {
-                Ok(_) => at.elapsed().as_secs_f64() * 1e3,
-                Err(_) => f64::INFINITY,
-            });
-            due += (0.5 + unit(session_seed ^ k)) / SESSION_RATE;
-            k += 1;
-        }
-        out
-    });
-
+    let session_dues = session_schedule(ctx);
+    let segment = ctx.seconds / SEGMENTS as f64;
+    let mut session_ms = Vec::new();
+    let mut cpu_ms = 0.0;
+    let mut decode = Decode::default();
+    let mut open = 0usize;
+    let mut next = 0usize;
     let mut write_err = None;
-    for (i, op) in ops.iter_mut().enumerate() {
-        let at = start + op.due;
-        std::thread::sleep(at.saturating_duration_since(Instant::now()));
-        let traced = ctx.trace && op.due >= window / 2;
-        let trace =
-            traced.then(|| TraceId::from_u128(((ctx.seed as u128) << 64) | (i as u128 + 1)));
-        let request = match op.kind {
-            Kind::Sample(class) => {
-                let (_, batch, n) = WARM[class];
-                Request::Sample(SampleParams {
-                    n,
-                    seed: op.seed,
-                    batch: Some(batch),
-                    ..SampleParams::new(warm_fps[class])
-                })
-            }
-            Kind::Load { formula, .. } => Request::Load {
-                name: None,
-                engine: None,
-                source: LoadSource::Inline(fresh_texts[formula].clone()),
-            },
-        };
-        let line = encode_line(&request, Some(i as u64 + 1), trace);
-        op.sent = Some(Instant::now());
-        if let Err(e) = conn.write_all(line.as_bytes()) {
-            write_err = Some(e.to_string());
-            op.failed = true;
-            break;
+    for seg in 0..SEGMENTS {
+        if seg > 0 {
+            spare_set_up()?;
         }
-    }
-    let sent = ops.iter().filter(|o| o.sent.is_some()).count();
-
-    // Collect frames until every sent request has a terminal frame.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let mut open = sent;
-    let mut decode_ms = 0.0;
-    let mut decode_bytes = 0.0;
-    while open > 0 {
-        let Ok(event) = rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) else {
-            break;
+        let lo = seg as f64 * segment;
+        let hi = if seg + 1 == SEGMENTS {
+            f64::INFINITY
+        } else {
+            lo + segment
         };
-        let (id, terminal) = match event {
-            Event::Closed => break,
-            Event::Chunk(id, read, decoded, solutions, bytes) => {
-                let op = &mut ops[id as usize - 1];
-                op.first.get_or_insert(decoded);
-                op.frames.push((read, decoded));
-                decode_ms += decoded.duration_since(read).as_secs_f64() * 1e3;
-                decode_bytes += bytes as f64;
-                op.solutions.extend(solutions);
-                (id, false)
-            }
-            Event::Done(id, read, decoded) | Event::Reply(id, read, decoded, _) => {
-                let op = &mut ops[id as usize - 1];
-                if let Event::Reply(_, _, _, cached) = event {
-                    op.cached = cached;
+        let dues: Vec<f64> = session_dues
+            .iter()
+            .filter(|&&d| d >= lo && d < hi)
+            .map(|d| d - lo)
+            .collect();
+        let cpu0 = total_cpu_ms(&[daemon.pid()]);
+        let start = Instant::now();
+        let session_addr = addr.to_string();
+        let sessions_thread = std::thread::spawn(move || sessions(&session_addr, start, &dues));
+        while next < ops.len() && ops[next].due.as_secs_f64() < hi {
+            let i = next;
+            let op = &mut ops[i];
+            next += 1;
+            let at = start + Duration::from_secs_f64(op.due.as_secs_f64() - lo);
+            std::thread::sleep(at.saturating_duration_since(Instant::now()));
+            let trace = op
+                .traced
+                .then(|| TraceId::from_u128(((ctx.seed as u128) << 64) | (i as u128 + 1)));
+            let request = match op.kind {
+                Kind::Sample(class) => {
+                    let (_, batch, n) = WARM[class];
+                    Request::Sample(SampleParams {
+                        n,
+                        seed: op.seed,
+                        batch: Some(batch),
+                        ..SampleParams::new(warm_fps[class])
+                    })
                 }
-                op.frames.push((read, decoded));
-                op.done = Some(decoded);
-                (id, true)
-            }
-            Event::Error(id, read, msg) => {
-                report.fail(format!("request {id} failed: {msg}"));
-                let op = &mut ops[id as usize - 1];
-                op.frames.push((read, read));
+                Kind::Load { formula, .. } => Request::Load {
+                    name: None,
+                    engine: None,
+                    source: LoadSource::Inline(fresh_texts[formula].clone()),
+                },
+            };
+            let line = encode_line(&request, Some(i as u64 + 1), trace);
+            op.due_at = Some(at);
+            op.sent = Some(Instant::now());
+            if let Err(e) = conn.write_all(line.as_bytes()) {
+                write_err = Some(e.to_string());
                 op.failed = true;
-                (id, true)
+                break;
             }
-        };
-        if terminal && id as usize <= ops.len() {
-            open -= 1;
+            open += 1;
+        }
+        // Collect frames until every request sent so far has finished.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        collect(&rx, ops, report, &mut open, &mut decode, deadline);
+        session_ms.extend(
+            sessions_thread
+                .join()
+                .map_err(|_| "session thread panicked")?,
+        );
+        cpu_ms += total_cpu_ms(&[daemon.pid()]) - cpu0;
+        if write_err.is_some() || open > 0 {
+            break;
         }
     }
-    let sessions = sessions_thread
-        .join()
-        .map_err(|_| "session thread panicked")?;
-    let cpu_ms = total_cpu_ms(&[daemon.pid()]) - cpu0;
     let rss = peak_rss_mib(daemon.pid());
     let _ = conn.shutdown(Shutdown::Both);
     let _ = reader_thread.join();
@@ -761,14 +851,14 @@ fn drive(
         TraceReport::default()
     };
 
-    // Tracing overhead: the median SAMPLE service time of the traced half
-    // against the untraced half.
-    let half = |traced: bool| -> Option<f64> {
+    // Tracing overhead: the median SAMPLE service time of the traced
+    // arrivals against the untraced ones, which alternate with them.
+    let split = |traced: bool| -> Option<f64> {
         let per_class: Option<Vec<f64>> = (0..WARM.len())
             .map(|c| {
                 let t: Vec<f64> = ops
                     .iter()
-                    .filter(|o| o.kind == Kind::Sample(c) && (o.due >= window / 2) == traced)
+                    .filter(|o| o.kind == Kind::Sample(c) && o.traced == traced)
                     .filter_map(|o| Some(o.done?.duration_since(o.sent?).as_secs_f64()))
                     .collect();
                 median(&t)
@@ -776,20 +866,19 @@ fn drive(
             .collect();
         geomean(&per_class?)
     };
-    let overhead_pct = match (half(false), half(true)) {
+    let overhead_pct = match (split(false), split(true)) {
         (Some(u), Some(t)) => (t / u - 1.0) * 100.0,
         _ => 0.0,
     };
     Ok((
         Window {
-            start,
-            sessions,
+            sessions: session_ms,
             cpu_ms,
             rss,
             overhead_pct,
         },
         (before, after),
         trace,
-        (decode_ms, decode_bytes),
+        (decode.ms, decode.bytes),
     ))
 }
